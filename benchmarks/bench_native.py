@@ -1,12 +1,14 @@
 """NATIVE — binned exponent-fold kernels vs the classic exact folds.
 
 Sweeps the standard input distributions against input size and times
-the vectorized binned superaccumulator fold (PR 6 tentpole) next to
-every pre-existing exact fold (``sparse``, ``small``, ``dense``).
-When numba is importable the thread-parallel ``binned_jit`` backend is
-measured in the same cells. Every cell asserts the candidate answer is
-bit-identical to the serial sparse superaccumulator's — a native-speed
-kernel may only ever trade *work*, never a bit of the result.
+the vectorized binned superaccumulator fold next to every other exact
+fold (``sparse``, ``small``, ``dense``), the condition-adaptive ladder
+(``adaptive``) and the library default (``exact_sum(x)``, recorded as
+``default``). When numba is importable the thread-parallel
+``binned_jit`` backend is measured in the same cells. Every cell
+asserts each answer is bit-identical to the serial sparse
+superaccumulator's — a native-speed kernel may only ever trade *work*,
+never a bit of the result.
 
 Usage::
 
@@ -15,17 +17,20 @@ Usage::
     python benchmarks/bench_native.py -o out.json   # custom output
 
 Writes a JSON record (default ``BENCH_native.json`` in the repo root).
-Headline acceptance bar:
+Headline acceptance bars:
 
 * well-conditioned, ``n >= 2**20``: ``binned`` must be **>= 3x**
-  faster than the fastest pre-existing exact fold in the same cell.
+  faster than the fastest pre-existing exact fold in the same cell;
+* every distribution, ``n = 2**20``: the default ``exact_sum(x)`` must
+  run at **>= 0.8x** the speed of ``binned``, so a default that falls
+  back to a slower path fails the run.
 
-The record also carries a ``kernel_rates`` section (median Melem/s per
-kernel over the largest cells) — the measured numbers behind
-``repro.plan.KERNEL_RATES``; refresh that table from here whenever the
-reference host changes.
+The record also carries a ``kernel_rates_melem_per_s`` section (median
+Melem/s per kernel over the largest cells) — the measured numbers
+behind ``repro.plan.KERNEL_RATES``; refresh that table from here
+whenever the reference host changes.
 
-Exit status is non-zero if the bar (or any exactness assertion) fails,
+Exit status is non-zero if either bar (or any exactness assertion) fails,
 so CI can run this directly.
 """
 
@@ -35,6 +40,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -51,6 +57,22 @@ from repro.util.capabilities import has_numba
 
 #: Pre-existing exact folds the binned kernel must beat.
 BASELINES = ["sparse", "small", "dense"]
+
+#: Timed next to the candidates for the planner's rate table, not a bar.
+OTHERS = ["adaptive"]
+
+#: Name under which the default ``exact_sum(x)`` is timed.
+DEFAULT = "default"
+
+#: The default must keep at least this share of ``binned``'s speed at
+#: ``DEFAULT_BAR_N`` on every distribution.
+DEFAULT_BAR = 0.8
+DEFAULT_BAR_N = 1 << 20
+
+#: Best-of repeats for the default and the candidates. They run the
+#: same fold, so the bar between them compares two noisy minima; more
+#: repeats of these fast methods keep host noise out of the ratio.
+FAST_REPEATS = 7
 
 #: (distribution, delta) cells, ordered from benign to adversarial.
 CASES = [
@@ -79,14 +101,19 @@ def run_cell(dist: str, delta: int, n: int, reps: int) -> Dict[str, Any]:
     x = generate(dist, n, delta=delta, seed=42)
     expected = exact_sum(x, method="sparse")
     seconds: Dict[str, float] = {}
-    for method in _candidates() + BASELINES:
-        got = exact_sum(x, method=method)
+    for method in [DEFAULT] + _candidates() + OTHERS + BASELINES:
+        if method == DEFAULT:
+            fn = partial(exact_sum, x)
+        else:
+            fn = partial(exact_sum, x, method=method)
+        got = fn()
         if got != expected or repr(got) != repr(expected):
             raise AssertionError(
                 f"exactness violated at {dist}/delta={delta}/n={n} "
                 f"({method}): {got!r} != {expected!r}"
             )
-        seconds[method] = _best(lambda: exact_sum(x, method=method), reps)
+        fast = method == DEFAULT or method in _candidates()
+        seconds[method] = _best(fn, max(reps, FAST_REPEATS) if fast else reps)
     best_baseline = min(BASELINES, key=lambda m: seconds[m])
     return {
         "distribution": dist,
@@ -98,6 +125,7 @@ def run_cell(dist: str, delta: int, n: int, reps: int) -> Dict[str, Any]:
         },
         "best_baseline": best_baseline,
         "binned_speedup": seconds[best_baseline] / seconds["binned"],
+        "default_vs_binned": seconds["binned"] / seconds[DEFAULT],
         "value_hex": expected.hex(),
     }
 
@@ -117,6 +145,8 @@ def sweep(sizes: Sequence[int], reps: int) -> List[Dict[str, Any]]:
             print(
                 f"  {dist:<9s} delta={delta:<5d} n=2^{int(np.log2(n)):<3d} "
                 f"binned={s['binned'] * 1e3:8.1f}ms{jit}  "
+                f"default={s[DEFAULT] * 1e3:8.1f}ms  "
+                f"adaptive={s['adaptive'] * 1e3:8.1f}ms  "
                 f"{row['best_baseline']}={s[row['best_baseline']] * 1e3:8.1f}ms  "
                 f"{row['binned_speedup']:6.2f}x",
                 flush=True,
@@ -130,6 +160,8 @@ def _median_rates(rows: List[Dict[str, Any]]) -> Dict[str, float]:
     big = [r for r in rows if r["n"] == top_n]
     out: Dict[str, float] = {}
     for method in big[0]["rate_melem_per_s"]:
+        if method == DEFAULT:
+            continue
         out[method] = float(
             np.median([r["rate_melem_per_s"][method] for r in big])
         )
@@ -162,16 +194,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         r for r in rows if r["distribution"] == "well" and r["n"] >= 1 << 20
     ]
     worst_speedup = min(r["binned_speedup"] for r in big_well)
+    worst_default = min(
+        r["default_vs_binned"] for r in rows if r["n"] == DEFAULT_BAR_N
+    )
     checks = {
         "binned_vs_fastest_exact_fold": {
             "worst_speedup_well_conditioned_n_ge_2^20": worst_speedup,
             "target": 3.0,
             "pass": worst_speedup >= 3.0,
         },
+        "default_vs_binned": {
+            "worst_ratio_every_distribution_n_2^20": worst_default,
+            "target": DEFAULT_BAR,
+            "pass": worst_default >= DEFAULT_BAR,
+        },
         "exactness": {
             "note": (
-                "every cell asserted bit-identical to "
-                "exact_sum(method='sparse')"
+                "every method in every cell, the default included, "
+                "asserted bit-identical to exact_sum(method='sparse')"
             ),
             "pass": True,  # an assertion failure aborts before this point
         },
@@ -188,6 +228,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "repeats": reps,
             "seed": 42,
             "candidates": _candidates(),
+            "others": OTHERS,
             "baselines": BASELINES,
         },
         "rows": rows,
@@ -198,7 +239,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"\nwrote {args.output}")
     print(
         f"headline: binned {worst_speedup:.1f}x the fastest exact fold "
-        f"(target >= 3x) -> {'PASS' if ok else 'FAIL'}"
+        f"(target >= 3x); default {worst_default:.2f}x binned at n=2^20 "
+        f"(target >= {DEFAULT_BAR}x) -> {'PASS' if ok else 'FAIL'}"
     )
     return 0 if ok else 1
 

@@ -473,9 +473,12 @@ def decode_binned(
             )
         if nbins > 1 and not (np.diff(indices) > 0).all():
             raise CodecError("corrupt bins: indices must be strictly increasing")
-        # Each deposit chunk contributes < 2**52 (low) / 2**41 (high)
-        # per bin, so a magnitude beyond chunks * bound cannot be the
-        # output of any legal fold — reject rather than resolve garbage.
+        # A deposit chunk contributes < 2**48 (low) / 2**37 (high) per
+        # bin; the check allows the 2**52 / 2**41 of a 2**20-element
+        # chunk, which still bounds every merge inside int64
+        # (RESOLVE_CHUNKS * 2**52 = 2**62). A magnitude beyond
+        # chunks * bound cannot be the output of any legal fold —
+        # reject rather than resolve garbage.
         # Two-sided compares, not np.abs: abs(int64 min) wraps negative
         # and would sneak past a magnitude check.
         lo_bound = int(chunks) << 52

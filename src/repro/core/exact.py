@@ -28,17 +28,18 @@ _METHODS = ("sparse", "small", "dense", "adaptive", "auto")
 
 
 def _build(values: np.ndarray, method: str, radix: RadixConfig):
-    # "adaptive"/"auto" land here only from the scaled/fraction paths
-    # (which need the exact accumulator, not a rounded float) or for
-    # non-nearest modes the certifying tiers cannot prove; the sparse
-    # kernel is the exact workhorse in both cases. Construction goes
-    # through the kernel registry so this module holds no
-    # representation-specific build code of its own.
+    # "auto" is the binned exponent fold: exact, and its speed does not
+    # depend on how badly the input cancels. The "adaptive" ladder
+    # certifies only a rounded nearest float, so its scaled/fraction
+    # and directed-mode calls land here and run the sparse kernel, the
+    # paper's exact reference. Construction goes through the kernel
+    # registry so this module holds no representation-specific build
+    # code of its own.
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
     from repro.kernels import get_kernel
 
-    name = "sparse" if method in ("auto", "adaptive") else method
+    name = {"auto": "binned", "adaptive": "sparse"}.get(method, method)
     return get_kernel(name, radix=radix).exact_variant().fold_exact(values)
 
 
@@ -53,12 +54,17 @@ def exact_sum(
 
     Args:
         values: any array-like of finite float64 values.
-        method: representation — ``"adaptive"`` (condition-adaptive
-            tier ladder, also what ``"auto"`` now selects: certified
-            fast paths for well-conditioned inputs, bit-identical
-            escalation otherwise), ``"sparse"`` (the paper's sparse
+        method: representation — ``"auto"`` (the default: the
+            cache-resident exponent-binned fold, whose speed does not
+            depend on the input's conditioning; nearest sums shorter
+            than :data:`~repro.kernels.binned.BINNED_FOLD_THRESHOLD`
+            run the ``"adaptive"`` ladder instead), ``"adaptive"``
+            (condition-adaptive tier ladder: certified fast paths for
+            well-conditioned inputs, bit-identical escalation
+            otherwise), ``"sparse"`` (the paper's sparse
             superaccumulator), ``"small"`` (Neal-style dense
-            fixed-size), or ``"dense"`` (full fixed-point array).
+            fixed-size), ``"dense"`` (full fixed-point array), or any
+            registered kernel name.
         mode: rounding direction; ``"nearest"`` (default) is correct
             rounding, which implies faithful rounding.
         radix: digit-width configuration.
@@ -70,7 +76,13 @@ def exact_sum(
     """
     arr = ensure_float64_array(values)
     check_finite_array(arr)
-    if method in ("auto", "adaptive") and mode == "nearest":
+    from repro.kernels.binned import BINNED_FOLD_THRESHOLD
+
+    # Short nearest sums keep the ladder: below the binned kernel's fold
+    # threshold its tier-0 certificate costs less than building even
+    # the kernel's sparse spill (few-term geometry predicates).
+    short = arr.size < BINNED_FOLD_THRESHOLD
+    if mode == "nearest" and (method == "adaptive" or (method == "auto" and short)):
         from repro.adaptive import adaptive_sum
 
         return adaptive_sum(arr, radix=radix)

@@ -19,15 +19,10 @@ from repro import codec
 from repro.core.sparse import SparseSuperaccumulator
 from repro.core.superaccumulator import DenseSuperaccumulator, SmallSuperaccumulator
 from repro.kernels.base import SumKernel, register_kernel
+from repro.kernels.binned import BINNED_FOLD_THRESHOLD, BinnedPartial
 from repro.util.validation import check_finite_array, ensure_float64_array
 
 __all__ = ["SparseKernel", "DenseKernel", "SmallKernel", "RunningSumKernel"]
-
-#: Bulk folds at or above this many elements route through the
-#: vectorized exponent-binned deposit instead of the scalar-ish sparse
-#: ``from_floats`` build. Below it, bin allocation + resolution
-#: overhead (~32 KiB of bins) outweighs the vectorization win.
-BINNED_FOLD_THRESHOLD = 2048
 
 
 @register_kernel
@@ -193,7 +188,8 @@ class RunningSumKernel(SumKernel):
         """Exact bulk fold; large batches take the binned fast path.
 
         Serve shards coalesce pending ingest into one contiguous array
-        and land it here. At or above :data:`BINNED_FOLD_THRESHOLD`
+        and land it here. At or above
+        :data:`~repro.kernels.binned.BINNED_FOLD_THRESHOLD`
         elements (and when the radix supports the vectorized integer
         paths) the array is deposited through
         :class:`~repro.kernels.binned.BinnedPartial`'s chunked
@@ -211,8 +207,6 @@ class RunningSumKernel(SumKernel):
             and self.radix.supports_vectorized
         ):
             check_finite_array(arr)
-            from repro.kernels.binned import BinnedPartial
-
             part = BinnedPartial(self.radix)
             part.deposit(arr)
             stream.absorb_exact(part.to_sparse(), int(arr.size))

@@ -17,10 +17,14 @@ This module is the fully vectorized form of that fold:
   32-bit and a high 21-bit half, and both halves are scatter-added
   into int64 bins with ``np.bincount`` — float64 weights, which stay
   exact because each half's per-chunk per-bin sum is below ``2**53``
-  (chunks of ``2**20`` elements: low sums < ``2**52``, high sums <
-  ``2**41``);
+  (chunks of ``2**16`` elements: low sums < ``2**48``, high sums <
+  ``2**37``);
+* the chunk is small enough that its bit patterns and the ~10 per-step
+  numpy temporaries (512 KiB each) stay in cache, which is where the
+  fold's speed comes from — the same reason Neal's and detfp's bin
+  arrays are small;
 * carries are *deferred*: bins absorb up to :data:`RESOLVE_CHUNKS`
-  chunk deposits (``|bin| <= RESOLVE_CHUNKS * 2**52 = 2**62``, inside
+  chunk deposits (``|bin| <= RESOLVE_CHUNKS * 2**48 = 2**58``, inside
   int64) before one vectorized resolution converts them into a sparse
   superaccumulator spill via
   :func:`~repro.core.digits.split_scaled_ints_vec`;
@@ -53,13 +57,14 @@ from repro.core.digits import RadixConfig, split_scaled_ints_vec
 from repro.core.sparse import SparseSuperaccumulator
 from repro.errors import NonFiniteInputError
 from repro.kernels.base import SumKernel, register_kernel
-from repro.util.validation import check_finite_array, ensure_float64_array
+from repro.util.validation import ensure_float64_array
 
 __all__ = [
     "BIN_COUNT",
     "BIN_EXP_OFFSET",
     "RESOLVE_CHUNKS",
     "DEPOSIT_CHUNK",
+    "BINNED_FOLD_THRESHOLD",
     "BinnedPartial",
     "BinnedKernel",
 ]
@@ -74,16 +79,24 @@ BIN_COUNT = 2047
 BIN_EXP_OFFSET = -1075
 
 #: Deferred-carry budget, counted in deposit chunks. One chunk adds at
-#: most ``2**20 * (2**32 - 1) < 2**52`` to a low bin, so after
-#: ``RESOLVE_CHUNKS = 2**10`` chunks ``|bin| <= 2**62`` — still inside
+#: most ``2**16 * (2**32 - 1) < 2**48`` to a low bin, so after
+#: ``RESOLVE_CHUNKS = 2**10`` chunks ``|bin| <= 2**58`` — still inside
 #: int64. The next deposit first resolves the bins into the sparse
 #: spill (one vectorized pass) and restarts the budget.
 RESOLVE_CHUNKS = 1 << 10
 
 #: Elements per deposit chunk. Bounds the per-bin float64 bincount
-#: sums: low halves < ``2**20 * 2**32 = 2**52``, high halves <
-#: ``2**20 * 2**21 = 2**41`` — both exactly representable in float64.
-DEPOSIT_CHUNK = 1 << 20
+#: sums: low halves < ``2**16 * 2**32 = 2**48``, high halves <
+#: ``2**16 * 2**21 = 2**37`` — both exactly representable in float64.
+#: It also keeps a chunk's temporaries cache-resident: at ``2**20`` the
+#: same fold ran at less than half the speed.
+DEPOSIT_CHUNK = 1 << 16
+
+#: Folds shorter than this skip the bins and build the sparse spill
+#: directly: below it, allocating and resolving ~32 KiB of bins costs
+#: more than the vectorized deposit saves (few-term geometry
+#: predicates, PRAM leaves, small shuffle blocks).
+BINNED_FOLD_THRESHOLD = 2048
 
 _EXP_MASK = np.int64(0x7FF)
 _MANT_MASK = np.int64((1 << 52) - 1)
@@ -125,9 +138,10 @@ class BinnedPartial:
     Attributes:
         radix: shared digit-width configuration (used by resolution).
         bins_lo: int64[BIN_COUNT] low-half mantissa-unit sums, or
-            ``None`` while no bulk deposit has happened (scalar folds
-            and empty partials stay bin-free: 32 KiB per partial would
-            dominate PRAM leaves otherwise).
+            ``None`` while no bulk deposit has happened (scalar folds,
+            folds shorter than :data:`BINNED_FOLD_THRESHOLD` and empty
+            partials stay bin-free: 32 KiB per partial would dominate
+            PRAM leaves and few-term sums otherwise).
         bins_hi: matching high-half sums (allocated together).
         chunks: deposit chunks absorbed since the last resolution
             (``<= RESOLVE_CHUNKS``; the overflow-safety budget).
@@ -236,6 +250,10 @@ class BinnedPartial:
         """Exact value as a Fraction."""
         return self.to_sparse().to_fraction()
 
+    def to_scaled_int(self) -> Tuple[int, int]:
+        """Exact value as ``(V, shift)``: the number is ``V * 2**shift``."""
+        return self.to_sparse().to_scaled_int()
+
     @property
     def width(self) -> int:
         """Occupied components: non-zero bins + active spill positions."""
@@ -258,13 +276,16 @@ class BinnedKernel(SumKernel):
     """Vectorized exponent-bin kernel (exact; Neal-style deferred carry).
 
     Partial type: :class:`BinnedPartial`. The fold is the fastest pure
-    numpy exact path in the package (~5x the sparse bulk fold at
-    ``n = 2**20`` on the reference host — see ``BENCH_native.json``);
-    merges stay carry-free, so the kernel serves every plane.
+    numpy exact path in the package (~9x the sparse bulk fold at
+    ``n = 2**22`` on the reference host — see ``BENCH_native.json``)
+    and the default of ``exact_sum``, ``repro.reduce`` and
+    ``parallel_sum``; merges stay carry-free, so the kernel serves
+    every plane.
 
-    Radices too wide for the vectorized integer paths (``w > 31``)
-    fall back to sparse folds inside the same partial (the spill), so
-    exactness never depends on the radix.
+    Blocks shorter than :data:`BINNED_FOLD_THRESHOLD`, and radices too
+    wide for the vectorized integer paths (``w > 31``), fold straight
+    into the sparse spill of the same partial, so exactness never
+    depends on the radix and few-term sums allocate no bins.
     """
 
     name = "binned"
@@ -275,14 +296,18 @@ class BinnedKernel(SumKernel):
     def fold(self, block: np.ndarray) -> BinnedPartial:
         arr = ensure_float64_array(block)
         part = BinnedPartial(self.radix)
-        if arr.size == 0:
-            return part
-        if not self.radix.supports_vectorized:
-            check_finite_array(arr)
+        if arr.size < BINNED_FOLD_THRESHOLD or not self.radix.supports_vectorized:
             part.spill = SparseSuperaccumulator.from_floats(arr, self.radix)
             return part
-        part.deposit(arr)
+        self._deposit(part, arr)
         return part
+
+    def _deposit(self, part: BinnedPartial, arr: np.ndarray) -> None:
+        """Deposit a block of at least :data:`BINNED_FOLD_THRESHOLD` values.
+
+        The seam an alternative deposit backend overrides.
+        """
+        part.deposit(arr)
 
     def fold_scalar(self, x: float) -> BinnedPartial:
         # PRAM leaves: one canonical spill component beats a 32 KiB bin

@@ -28,7 +28,6 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.core.sparse import SparseSuperaccumulator
 from repro.errors import NonFiniteInputError
 from repro.kernels.base import register_kernel
 from repro.kernels.binned import (
@@ -39,7 +38,7 @@ from repro.kernels.binned import (
     BinnedPartial,
 )
 from repro.util.capabilities import has_numba, load_numba
-from repro.util.validation import check_finite_array, ensure_float64_array
+from repro.util.validation import check_finite_array
 
 __all__ = ["BinnedJitKernel"]
 
@@ -141,21 +140,16 @@ class BinnedJitKernel(BinnedKernel):
 
     name = "binned_jit"
 
-    def fold(self, block: np.ndarray) -> BinnedPartial:
-        arr = ensure_float64_array(block)
-        part = BinnedPartial(self.radix)
-        if arr.size == 0:
-            return part
-        if not self.radix.supports_vectorized:
-            check_finite_array(arr)
-            part.spill = SparseSuperaccumulator.from_floats(arr, self.radix)
-            return part
+    def _deposit(self, part: BinnedPartial, arr: np.ndarray) -> None:
         fold_fn = _jit_fold()
         if fold_fn is None:
             part.deposit(arr)
-            return part
+            return
         bits = arr.view(np.int64)
         bins_lo, bins_hi = part.ensure_bins()
+        # Same chunk budget as the numpy deposit: each chunk adds at most
+        # 2**16 * (2**32 - 1) < 2**48 to a bin, so RESOLVE_CHUNKS = 2**10
+        # chunks keep |bin| <= 2**58, inside int64.
         for start in range(0, bits.size, DEPOSIT_CHUNK):
             if part.chunks >= RESOLVE_CHUNKS:
                 part.resolve()
@@ -170,7 +164,6 @@ class BinnedJitKernel(BinnedKernel):
                     "input contains a non-finite value"
                 )  # pragma: no cover - check_finite_array raises first
             part.chunks += 1
-        return part
 
 
 if has_numba():

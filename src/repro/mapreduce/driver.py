@@ -81,7 +81,7 @@ def parallel_sum(
     values,
     *,
     workers: Optional[int] = None,
-    method: str = "sparse",
+    method: str = "binned",
     block_items: int = DEFAULT_BLOCK_ITEMS,
     reducers: Optional[int] = None,
     radix: RadixConfig = DEFAULT_RADIX,
@@ -98,14 +98,16 @@ def parallel_sum(
     Args:
         values: finite float64 array-like.
         workers: worker count; ``None`` or 1 runs serially in-process.
-        method: ``"adaptive"`` (certificate-shipping combine with an
-            exact fallback on certification failure), ``"sparse"``
-            (paper), ``"small"`` (Neal comparator), ``"naive"``
+        method: ``"binned"`` (the default: the generic
+            :class:`~repro.mapreduce.sum_job.KernelSumJob` over the
+            exponent-binned kernel, whose block folds are the fastest
+            exact fold), ``"adaptive"`` (certificate-shipping combine
+            with an exact fallback on certification failure),
+            ``"sparse"`` (the paper's §6.2 job, which the figure
+            benchmarks run), ``"small"`` (Neal comparator), ``"naive"``
             (inexact control — for demonstrations only), or any other
             registered kernel name (``repro.kernels.kernel_names()``),
-            which runs the generic
-            :class:`~repro.mapreduce.sum_job.KernelSumJob` over that
-            kernel.
+            which also runs the generic kernel job.
         block_items: simulated HDFS block size in items.
         reducers: the ``p`` of §6.1; defaults to the worker count.
         radix: superaccumulator digit configuration.

@@ -55,24 +55,24 @@ SMALL_INPUT_ITEMS = 1 << 16
 #: Measured single-thread bulk-fold rates in Melem/s on the reference
 #: host (``benchmarks/bench_native.py`` → ``BENCH_native.json``,
 #: ``kernel_rates_melem_per_s``: the median over the largest cells,
-#: n = 2**22; ``adaptive`` from ``BENCH_adaptive.json``, the tier-0
-#: certified pass on the well-conditioned n = 2**20 cell — its worst
-#: case is one exact escalation on top). Only the relative order
-#: matters to the planner — it ranks candidate kernels by these and
-#: picks the fastest one that is actually available — so a different
-#: host changes the margins, not the decisions. ``binned_jit`` is
-#: credited slightly above ``binned`` because its deposit is the same
-#: fold run thread-parallel (it cannot be measured on the reference
-#: host, which has no numba — the CI optional-deps job covers it);
-#: ``running`` and ``truncated`` are unbenched estimates kept below the
-#: measured folds they wrap.
+#: n = 2**22, of the well, random, anderson and sumzero inputs). The
+#: ``adaptive`` median mixes its certified tiers on the first three
+#: with its exact escalation on sumzero, 7-10x slower. Only
+#: the relative order matters to the planner — it ranks candidate
+#: kernels by these and picks the fastest one that is actually
+#: available — so a different host changes the margins, not the
+#: decisions. ``binned_jit`` is credited slightly above ``binned``
+#: because its deposit is the same fold run thread-parallel (it cannot
+#: be measured on the reference host, which has no numba — the CI
+#: optional-deps job covers it); ``running`` and ``truncated`` are
+#: unbenched estimates kept below the measured folds they wrap.
 KERNEL_RATES: Dict[str, float] = {
-    "adaptive": 70.0,
-    "binned_jit": 26.0,
-    "binned": 24.7,
-    "dense": 3.8,
-    "small": 3.7,
-    "sparse": 3.4,
+    "binned_jit": 47.0,
+    "binned": 46.2,
+    "adaptive": 29.6,
+    "dense": 5.4,
+    "small": 5.3,
+    "sparse": 4.8,
     "running": 2.7,
     "truncated": 1.8,
 }
@@ -530,12 +530,10 @@ def plan_sum(
     * file-backed data with one worker streams: one pass over the
       mapped dataset, O(1) memory;
     * the kernel is the fastest *available* candidate from
-      :func:`kernel_candidates` — the condition-adaptive cascade for
-      nearest rounding (certified fast paths, exact escalation), the
-      binned exponent fold for directed modes (which the certifying
-      tiers cannot prove); optional backends like ``binned_jit`` are
-      selected only when their capability is installed, never by
-      assumption.
+      :func:`kernel_candidates` by measured rate — the binned exponent
+      fold on the reference host, in every rounding mode; optional
+      backends like ``binned_jit`` are selected only when their
+      capability is installed, never by assumption.
     """
     from repro.reduce.ops import get_op, kernel_supports
 

@@ -31,7 +31,8 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
-from repro.kernels import get_kernel, kernel_names
+from repro.kernels import get_kernel, kernel_names, kernel_sum
+from repro.kernels.binned import DEPOSIT_CHUNK
 from repro.reduce.ops import ReduceOp, get_op, kernel_supports
 
 __all__ = ["run_reduction", "REDUCE_PLANES"]
@@ -49,13 +50,12 @@ def _chunks(arr: np.ndarray, block_items: int) -> Iterator[np.ndarray]:
 
 
 def _pair_chunks(
-    x: np.ndarray, y: np.ndarray, block_items: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    if x.size == 0:
-        yield x, y
-        return
-    for start in range(0, x.size, block_items):
-        yield x[start : start + block_items], y[start : start + block_items]
+    x: np.ndarray, y: Optional[np.ndarray], block_items: int
+) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Aligned chunks of ``x`` and ``y``; ``y`` is ``None`` for unary ops."""
+    if y is None:
+        return ((xs, None) for xs in _chunks(x, block_items))
+    return zip(_chunks(x, block_items), _chunks(y, block_items))
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +79,6 @@ def _fold_fraction(
     the identical fold paths the sum matrix certifies.
     """
     kernel = get_kernel(kernel_name, radix=radix)
-    if plane == "serial":
-        stream = kernel.new_stream()
-        stream.add_array(terms)
-        return stream.exact_fraction()
     if plane == "streaming":
         stream = kernel.new_stream()
         for chunk in _chunks(terms, block_items):
@@ -172,6 +168,42 @@ def _run_local(
         for t in terms
     ]
     return op.finish_exact(fracs, count, mode)
+
+
+def _run_serial(
+    kernel_name: str,
+    op: ReduceOp,
+    x: np.ndarray,
+    y: Optional[np.ndarray],
+    *,
+    radix: RadixConfig,
+    mode: str,
+    workers: int,
+    block_items: int,
+) -> float:
+    """Serial plane: expand and fold one input chunk at a time.
+
+    Chunks hold ``block_items`` inputs, capped at the binned kernel's
+    :data:`DEPOSIT_CHUNK` so each chunk's terms are folded while they
+    are still in cache; the 2n-term expansion of a ``dot`` or ``norm2``
+    is never built. Rounded-sum ops go through
+    :func:`~repro.kernels.base.kernel_sum` (speculative kernels keep
+    their certify-or-escalate schedule); exact-fraction ops fold each
+    term stream into its own exact stream. ``workers`` is unused, as on
+    :func:`repro.plan.run_plane`'s serial plane.
+    """
+    kernel = get_kernel(kernel_name, radix=radix)
+    count = int(x.size)
+    chunk = min(block_items, DEPOSIT_CHUNK)
+    chunks = (op.expand(xs, ys) for xs, ys in _pair_chunks(x, y, chunk))
+    if not op.needs_exact:
+        value = kernel_sum(kernel, (terms[0] for terms in chunks), mode=mode)
+        return op.finish_rounded(value, count, mode)
+    streams = [kernel.new_stream() for _ in range(op.streams)]
+    for terms in chunks:
+        for stream, t in zip(streams, terms):
+            stream.add_array(t)
+    return op.finish_exact([s.exact_fraction() for s in streams], count, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +306,7 @@ def _run_cluster(
 #: Every plane a reduction can run on — the same eight names as
 #: :data:`repro.plan.PLANES`, so the matrix test walks one key set.
 REDUCE_PLANES: Dict[str, object] = {
-    "serial": functools.partial(_run_local, "serial"),
+    "serial": _run_serial,
     "streaming": functools.partial(_run_local, "streaming"),
     "serve": _run_serve,
     "cluster": _run_cluster,

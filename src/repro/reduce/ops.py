@@ -41,12 +41,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.eft import two_product_vec, two_square_vec
 from repro.errors import EmptyStreamError, ReductionRangeError
+from repro.kernels.binned import DEPOSIT_CHUNK
 from repro.stats import round_fraction, sqrt_round_fraction
 from repro.util.validation import check_finite_array, ensure_float64_array
 
@@ -103,10 +104,24 @@ def product_domain_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return safe | (x == 0.0) | (y == 0.0)
 
 
-def _require_domain(mask: np.ndarray, op_name: str, primitive: str) -> None:
-    if bool(np.all(mask)):
+def _require_domain(
+    mask_of: Callable[..., np.ndarray],
+    arrays: Sequence[np.ndarray],
+    op_name: str,
+    primitive: str,
+) -> None:
+    """Raise unless ``mask_of(*arrays)`` holds for every element.
+
+    The mask is built one :data:`~repro.kernels.binned.DEPOSIT_CHUNK`
+    at a time, so its temporaries stay as cache-resident as the fold's.
+    """
+    n = arrays[0].size
+    bad = 0
+    for start in range(0, n, DEPOSIT_CHUNK):
+        mask = mask_of(*(a[start : start + DEPOSIT_CHUNK] for a in arrays))
+        bad += int(mask.size - np.count_nonzero(mask))
+    if not bad:
         return
-    bad = int(np.count_nonzero(~mask))
     raise ReductionRangeError(
         f"{op_name}: {bad} input(s) outside the error-free {primitive} "
         f"domain (product magnitude must stay inside the normal range); "
@@ -213,7 +228,7 @@ class DotOp(ReduceOp):
     arity = 2
 
     def check_domain(self, x, y=None):
-        _require_domain(product_domain_mask(x, y), self.name, "TwoProduct")
+        _require_domain(product_domain_mask, (x, y), self.name, "TwoProduct")
 
     def expand(self, x, y=None):
         # Zero-paired elements are exact but the huge partner would
@@ -245,7 +260,7 @@ class Norm2Op(ReduceOp):
     needs_exact = True
 
     def check_domain(self, x, y=None):
-        _require_domain(square_domain_mask(x), self.name, "TwoSquare")
+        _require_domain(square_domain_mask, (x,), self.name, "TwoSquare")
 
     def expand(self, x, y=None):
         p, e = two_square_vec(x)
@@ -290,7 +305,7 @@ class VarOp(ReduceOp):
         self.ddof = int(ddof)
 
     def check_domain(self, x, y=None):
-        _require_domain(square_domain_mask(x), self.name, "TwoSquare")
+        _require_domain(square_domain_mask, (x,), self.name, "TwoSquare")
 
     def expand(self, x, y=None):
         p, e = two_square_vec(x)

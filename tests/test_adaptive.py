@@ -204,9 +204,39 @@ class TestExactSumWiring:
         x = generate("random", 3000, delta=600, seed=9)
         assert exact_sum(x, method="adaptive") == exact_sum(x, method="sparse")
 
-    def test_auto_routes_through_adaptive(self):
+    def test_auto_routes_through_binned(self, monkeypatch):
+        from repro.kernels.binned import BinnedKernel
+
+        folded = []
+        fold = BinnedKernel.fold
+
+        def spy(kernel, block):
+            folded.append(len(block))
+            return fold(kernel, block)
+
+        monkeypatch.setattr(BinnedKernel, "fold", spy)
         x = generate("well", 3000, delta=100, seed=9)
-        assert exact_sum(x, method="auto") == exact_sum(x, method="sparse")
+        assert _bits_equal(exact_sum(x, method="auto"), exact_sum(x, method="sparse"))
+        assert folded == [3000]
+
+    def test_short_auto_keeps_the_ladder(self, monkeypatch):
+        import repro.adaptive
+        from repro.kernels.binned import BINNED_FOLD_THRESHOLD
+
+        laddered = []
+        ladder = repro.adaptive.adaptive_sum
+
+        def spy(values, **kwargs):
+            laddered.append(len(values))
+            return ladder(values, **kwargs)
+
+        monkeypatch.setattr(repro.adaptive, "adaptive_sum", spy)
+        x = generate("cancel", BINNED_FOLD_THRESHOLD - 1, delta=300, seed=9)
+        assert _bits_equal(exact_sum(x), exact_sum(x, method="sparse"))
+        assert _bits_equal(
+            exact_sum(x, mode="down"), exact_sum(x, method="sparse", mode="down")
+        )
+        assert laddered == [x.size]
 
     def test_auto_non_nearest_still_exact(self):
         x = generate("random", 500, delta=300, seed=2)

@@ -31,6 +31,8 @@ from repro.kernels import get_kernel, kernel_names, kernel_sum
 from repro.kernels.binned import (
     BIN_COUNT,
     BIN_EXP_OFFSET,
+    BINNED_FOLD_THRESHOLD,
+    DEPOSIT_CHUNK,
     RESOLVE_CHUNKS,
     BinnedPartial,
 )
@@ -48,6 +50,16 @@ def _ref(values) -> Fraction:
     return sum((Fraction(float(v)) for v in values), Fraction(0))
 
 
+def _routes(arr: np.ndarray):
+    """``arr`` as given, and zero-padded past ``BINNED_FOLD_THRESHOLD``.
+
+    Short blocks fold into the sparse spill; the padded copy has the
+    same exact sum but goes through the bin deposit, so each test
+    checks both routes of ``fold``.
+    """
+    return [arr, np.concatenate([arr, np.zeros(BINNED_FOLD_THRESHOLD)])]
+
+
 @pytest.fixture(params=KERNELS)
 def kernel(request):
     return get_kernel(request.param)
@@ -63,11 +75,12 @@ def kernel(request):
 def test_fold_matches_sparse_exactly(name, values):
     arr = np.array(values, dtype=np.float64)
     k = get_kernel(name)
-    part = k.fold(arr)
-    assert k.exact_fraction(part) == _ref(arr)
     ref = SparseSuperaccumulator.from_floats(arr, DEFAULT_RADIX)
-    for mode in ("nearest", "down", "up"):
-        assert k.round(part, mode) == ref.to_float(mode)
+    for block in _routes(arr):
+        part = k.fold(block)
+        assert k.exact_fraction(part) == _ref(arr)
+        for mode in ("nearest", "down", "up"):
+            assert k.round(part, mode) == ref.to_float(mode)
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -76,9 +89,10 @@ def test_fold_matches_sparse_exactly(name, values):
 def test_split_fold_combine_is_exact(name, values, splits):
     arr = np.array(values, dtype=np.float64)
     k = get_kernel(name)
-    assert kernel_sum(k, np.array_split(arr, splits)) == exact_sum(
-        arr, method="sparse"
-    )
+    want = exact_sum(arr, method="sparse")
+    assert kernel_sum(k, np.array_split(arr, splits)) == want
+    padded = [_routes(b)[1] for b in np.array_split(arr, splits)]
+    assert kernel_sum(k, padded) == want
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -101,7 +115,8 @@ def test_subnormal_panels_match(name, values):
     """Bins without a hidden bit: the subnormal/bin-1 sharing path."""
     arr = np.array(values, dtype=np.float64)
     k = get_kernel(name)
-    assert k.exact_fraction(k.fold(arr)) == _ref(arr)
+    for block in _routes(arr):
+        assert k.exact_fraction(k.fold(block)) == _ref(arr)
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -110,10 +125,11 @@ def test_subnormal_panels_match(name, values):
 def test_wire_roundtrip_is_stable_and_exact(name, values):
     arr = np.array(values, dtype=np.float64)
     k = get_kernel(name)
-    frame = k.to_wire(k.fold(arr))
-    back = k.from_wire(frame)
-    assert k.to_wire(back) == frame
-    assert k.exact_fraction(back) == _ref(arr)
+    for block in _routes(arr):
+        frame = k.to_wire(k.fold(block))
+        back = k.from_wire(frame)
+        assert k.to_wire(back) == frame
+        assert k.exact_fraction(back) == _ref(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +153,10 @@ EDGE_PANELS = [
 @pytest.mark.parametrize("panel", range(len(EDGE_PANELS)))
 def test_edge_panels_match_sparse(kernel, panel):
     arr = EDGE_PANELS[panel].astype(np.float64)
-    part = kernel.fold(arr)
-    assert kernel.exact_fraction(part) == _ref(arr)
-    assert kernel.round(part) == exact_sum(arr, method="sparse")
+    for block in _routes(arr):
+        part = kernel.fold(block)
+        assert kernel.exact_fraction(part) == _ref(arr)
+        assert kernel.round(part) == exact_sum(arr, method="sparse")
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -186,8 +203,9 @@ def test_merge_resolves_when_budgets_would_overflow(monkeypatch):
     monkeypatch.setattr(binned_mod, "RESOLVE_CHUNKS", 2)
     rng = np.random.default_rng(6)
     k = get_kernel("binned")
+    size = BINNED_FOLD_THRESHOLD  # large enough to fold into bins
     arrs = [
-        (rng.random(50) - 0.5) * 10.0 ** rng.integers(-50, 50, 50)
+        (rng.random(size) - 0.5) * 10.0 ** rng.integers(-50, 50, size)
         for _ in range(6)
     ]
     total = k.zero()
@@ -214,6 +232,60 @@ def test_near_overflow_bins_resolve_exactly():
         part.resolve()
         assert part.chunks == 0
         assert part.to_fraction() == Fraction(x) * n
+
+
+@pytest.mark.parametrize("signs", ["positive", "mixed"])
+def test_full_deposit_chunk_at_one_exponent_is_exact(monkeypatch, kernel, signs):
+    """One full chunk at the per-chunk bin bound the chunk size rests on.
+
+    Every value has an all-ones mantissa, so each low-half bin sum
+    reaches ``DEPOSIT_CHUNK * (2**32 - 1)``, just below ``2**48``: the
+    float64 ``bincount`` weights must still be exact. The mixed panel
+    adds negative and subnormal values (bin 1, no hidden bit). The
+    fold is checked again with a two-chunk budget, so that chunks are
+    resolved into the spill mid-fold.
+    """
+    import repro.kernels.binned as binned_mod
+    import repro.kernels.binned_jit as binned_jit_mod
+
+    top = float(np.nextafter(2.0, 1.0))  # 0x1.fffffffffffffp+0
+    arr = np.full(DEPOSIT_CHUNK, top)
+    if signs == "mixed":
+        sub = float(np.nextafter(2.0**-1022, 0.0))  # all-ones subnormal
+        arr[1::3] = -top
+        arr[2::3] = sub
+        arr[5::6] = -sub
+    want = exact_sum(arr, method="sparse")
+    exact = _ref(arr)
+    for budget in (RESOLVE_CHUNKS, 2):
+        monkeypatch.setattr(binned_mod, "RESOLVE_CHUNKS", budget)
+        monkeypatch.setattr(binned_jit_mod, "RESOLVE_CHUNKS", budget)
+        # one chunk; three chunks merged; three chunks in one fold
+        for blocks in ([arr], [arr, arr, arr], [np.tile(arr, 3)]):
+            total = kernel.zero()
+            for block in blocks:
+                total = kernel.combine(total, kernel.fold(block))
+            assert total.chunks <= budget
+            both = np.concatenate(blocks)
+            assert kernel.exact_fraction(total) == exact * (both.size // arr.size)
+            assert kernel.round(total) == exact_sum(both, method="sparse")
+        part = kernel.fold(arr)
+        assert kernel.round(part) == want
+        if signs == "positive":
+            assert int(part.bins_lo.max()) == DEPOSIT_CHUNK * (2**32 - 1)
+            assert int(part.bins_lo.max()) < 2**48
+
+
+def test_short_folds_skip_the_bins(kernel):
+    """Few-term folds build only the sparse spill (no 32 KiB of bins)."""
+    short = np.linspace(-1.0, 1.0, BINNED_FOLD_THRESHOLD - 1) * 2.0**40
+    part = kernel.fold(short)
+    assert part.bins_lo is None and part.bins_hi is None
+    assert kernel.exact_fraction(part) == _ref(short)
+    full = np.append(short, 3.0)
+    part = kernel.fold(full)
+    assert part.bins_lo is not None
+    assert kernel.exact_fraction(part) == _ref(full)
 
 
 def test_mixed_sign_bin_cancellation_is_exact(kernel):
@@ -275,7 +347,7 @@ def test_decode_rejects_bins_beyond_the_chunk_budget():
     from repro import codec
 
     k = get_kernel("binned")
-    arr = np.array([1.0, 2.0**-300])
+    arr = np.resize([1.0, 2.0**-300], BINNED_FOLD_THRESHOLD)
     frame = bytearray(k.to_wire(k.fold(arr)))
     # header: <4sqq> = magic, chunks, nbins; zero the chunk budget so
     # the (legitimately folded) bins exceed what 0 chunks can produce
