@@ -89,7 +89,11 @@ class WalService(ReproService):
         """
         if self._wal is None:
             return {"records": 0, "truncated": False}
-        records, truncated = await asyncio.to_thread(read_wal, self._wal.path)
+        # The node owns its log: a torn tail from a crash mid-append is
+        # cut off here, before the next append lands behind it.
+        records, truncated = await asyncio.to_thread(
+            read_wal, self._wal.path, repair=True
+        )
         applied = 0
         # Stage high-water marks locally and publish them after the
         # replay loop: claiming `self._applied[stream]` before the fold

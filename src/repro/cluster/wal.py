@@ -12,7 +12,13 @@ Tail semantics follow the classic WAL contract:
 
 * a *torn tail* — the file ends mid-record because the process died
   inside a write — is expected and tolerated: replay stops at the last
-  complete record and reports ``truncated=True``;
+  complete record and reports ``truncated=True``. The owning node's
+  recovery (``read_wal(path, repair=True)``) also cuts the torn bytes
+  off and fsyncs, so the next append starts on a record boundary
+  instead of burying the tear mid-file;
+* a failed append (``OSError`` from the write or the fsync: disk
+  full, EIO) truncates the file back to its pre-append size before the
+  error propagates, so no partial record stays behind;
 * corruption *before* the tail (CRC mismatch, bad magic, nonsense
   lengths with more bytes following) is not a crash artifact and
   raises :class:`~repro.errors.CodecError`.
@@ -31,7 +37,7 @@ import asyncio
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -83,37 +89,56 @@ def iter_wal(path: Union[str, Path]) -> Iterator[Union[WalRecord, bool]]:
         OSError: unreadable file.
     """
     with open(Path(path), "rb") as fh:
-        while True:
-            header = fh.read(codec.WAL_HEADER_SIZE)
-            if not header:
-                yield False
-                return
-            if len(header) < codec.WAL_HEADER_SIZE:
-                yield True
-                return
-            total = codec.wal_record_size(header)
-            body = fh.read(total - codec.WAL_HEADER_SIZE)
-            if len(body) < total - codec.WAL_HEADER_SIZE:
-                yield True
-                return
-            seq, stream, op, values, values2 = codec.decode_wal_any(header + body)
-            yield WalRecord(
-                seq=seq, stream=stream, values=values, op=op, values2=values2
-            )
+        yield from _records(fh)
 
 
-def read_wal(path: Union[str, Path]) -> Tuple[List[WalRecord], bool]:
+def _records(fh: BinaryIO) -> Iterator[Union[WalRecord, bool]]:
+    """:func:`iter_wal` over an open file; after each record,
+    ``fh.tell()`` is the end of the complete prefix."""
+    while True:
+        header = fh.read(codec.WAL_HEADER_SIZE)
+        if not header:
+            yield False
+            return
+        if len(header) < codec.WAL_HEADER_SIZE:
+            yield True
+            return
+        total = codec.wal_record_size(header)
+        body = fh.read(total - codec.WAL_HEADER_SIZE)
+        if len(body) < total - codec.WAL_HEADER_SIZE:
+            yield True
+            return
+        seq, stream, op, values, values2 = codec.decode_wal_any(header + body)
+        yield WalRecord(seq=seq, stream=stream, values=values, op=op, values2=values2)
+
+
+def read_wal(
+    path: Union[str, Path], *, repair: bool = False
+) -> Tuple[List[WalRecord], bool]:
     """All complete records plus the torn-tail flag; ``([], False)``
-    for a missing file (a node that never ingested has no WAL)."""
+    for a missing file (a node that never ingested has no WAL).
+
+    With ``repair=True`` — only for the log's owner, before it appends
+    again — a torn tail is truncated away and the file fsynced, so a
+    record appended after recovery is not read back as corruption.
+    The returned flag still reports that the tail was torn.
+    """
     if not Path(path).exists():
         return [], False
     records: List[WalRecord] = []
     truncated = False
-    for item in iter_wal(path):
-        if isinstance(item, bool):
-            truncated = item
-        else:
-            records.append(item)
+    with open(Path(path), "r+b" if repair else "rb") as fh:
+        end = 0
+        for item in _records(fh):
+            if isinstance(item, bool):
+                truncated = item
+            else:
+                records.append(item)
+                end = fh.tell()
+        if truncated and repair:
+            fh.truncate(end)
+            fh.flush()
+            os.fsync(fh.fileno())
     return records, truncated
 
 
@@ -161,12 +186,27 @@ class WriteAheadLog:
         return len(blob)
 
     def append_blob(self, blob: bytes) -> None:
-        """Append pre-encoded record bytes and fsync (group commit)."""
+        """Append pre-encoded record bytes and fsync (group commit).
+
+        If the write or the fsync raises ``OSError``, the file is
+        truncated back to its size before this call and the error is
+        re-raised: a failed append leaves no partial record behind.
+        """
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "ab") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            start = os.fstat(fd).st_size
+            try:
+                view = memoryview(blob)
+                while view:
+                    view = view[os.write(fd, view) :]
+                os.fsync(fd)
+            except OSError:
+                os.ftruncate(fd, start)
+                os.fsync(fd)
+                raise
+        finally:
+            os.close(fd)
 
     def replay(self) -> Tuple[List[WalRecord], bool]:
         """(records, truncated) — see :func:`read_wal`."""

@@ -474,9 +474,10 @@ def decode_binned(
         if nbins > 1 and not (np.diff(indices) > 0).all():
             raise CodecError("corrupt bins: indices must be strictly increasing")
         # A deposit chunk contributes < 2**48 (low) / 2**37 (high) per
-        # bin; the check allows the 2**52 / 2**41 of a 2**20-element
-        # chunk, which still bounds every merge inside int64
-        # (RESOLVE_CHUNKS * 2**52 = 2**62). A magnitude beyond
+        # bin; the check allows 2**52 / 2**41 per chunk, which still
+        # bounds every merge inside int64 (RESOLVE_CHUNKS * 2**52 =
+        # 2**62), and the resolve's one-array sum of both halves too
+        # (2**62 + 2**51). A magnitude beyond
         # chunks * bound cannot be the output of any legal fold —
         # reject rather than resolve garbage.
         # Two-sided compares, not np.abs: abs(int64 min) wraps negative

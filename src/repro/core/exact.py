@@ -75,7 +75,6 @@ def exact_sum(
         same bits on the same input.
     """
     arr = ensure_float64_array(values)
-    check_finite_array(arr)
     from repro.kernels.binned import BINNED_FOLD_THRESHOLD
 
     # Short nearest sums keep the ladder: below the binned kernel's fold
@@ -85,7 +84,13 @@ def exact_sum(
     if mode == "nearest" and (method == "adaptive" or (method == "auto" and short)):
         from repro.adaptive import adaptive_sum
 
+        check_finite_array(arr)
         return adaptive_sum(arr, radix=radix)
+    if method == "auto":
+        # The binned fold rejects inf/NaN itself, naming the same index,
+        # so the default path makes no separate finiteness pass.
+        return _build(arr, method, radix).to_float(mode)
+    check_finite_array(arr)
     if method in _METHODS:
         return _build(arr, method, radix).to_float(mode)
     # Any registered kernel name works as a method: one fold + round

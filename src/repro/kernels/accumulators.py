@@ -206,7 +206,8 @@ class RunningSumKernel(SumKernel):
             and isinstance(stream, ExactRunningSum)
             and self.radix.supports_vectorized
         ):
-            check_finite_array(arr)
+            # The deposit rejects inf/NaN itself, before the stream is
+            # touched, so the bulk route makes no separate check.
             part = BinnedPartial(self.radix)
             part.deposit(arr)
             stream.absorb_exact(part.to_sparse(), int(arr.size))

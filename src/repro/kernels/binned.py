@@ -11,22 +11,30 @@ per-thread bins merged carry-free at the end.
 
 This module is the fully vectorized form of that fold:
 
-* the biased 11-bit exponent field and 52-bit mantissa are extracted
-  with int64 view/bit ops (no frexp, no per-element Python);
-* the mantissa (hidden bit restored for normals) is split into a low
-  32-bit and a high 21-bit half, and both halves are scatter-added
-  into int64 bins with ``np.bincount`` — float64 weights, which stay
-  exact because each half's per-chunk per-bin sum is below ``2**53``
-  (chunks of ``2**16`` elements: low sums < ``2**48``, high sums <
-  ``2**37``);
-* the chunk is small enough that its bit patterns and the ~10 per-step
-  numpy temporaries (512 KiB each) stay in cache, which is where the
-  fold's speed comes from — the same reason Neal's and detfp's bin
-  arrays are small;
+* the 12-bit sign|exponent field of each float is its ``bincount``
+  key (Neal's large superaccumulator indexes its chunks the same way),
+  so no per-element sign multiply or branch is needed: key ``k`` and
+  key ``k + 2048`` are the positive and negative halves of bin ``k``;
+* both 32-bit halves of the mantissa are deposited *unsigned* — the
+  low half ``bits & 0xFFFFFFFF`` and the high half with the hidden
+  bit always set — as float64 ``bincount`` weights, which stay exact
+  because chunks of ``2**16`` elements keep every per-key sum below
+  ``2**48`` (low) and ``2**37`` (high);
+* once per chunk, keys 0 and 2048 (zeros and subnormals) give back
+  the hidden bit they do not have, counted from their elements, and
+  fold into bin 1, whose scale they share; the signed int64 bins then
+  gain ``pos - neg``, one subtraction per bin (the paper's carry-free
+  add, §2, applied per chunk instead of per element). Keys 2047 and
+  4095 (±inf/NaN) raise before any bin changes;
+* the chunk is small enough that its bit patterns and the few numpy
+  temporaries (512 KiB each) stay in cache, which is where the fold's
+  speed comes from — the same reason Neal's and detfp's bin arrays
+  are small;
 * carries are *deferred*: bins absorb up to :data:`RESOLVE_CHUNKS`
   chunk deposits (``|bin| <= RESOLVE_CHUNKS * 2**48 = 2**58``, inside
   int64) before one vectorized resolution converts them into a sparse
-  superaccumulator spill via
+  superaccumulator spill: the high bins are added into the low bins 32
+  places up, and that one int64 array goes through
   :func:`~repro.core.digits.split_scaled_ints_vec`;
 * rounding reuses the existing exact carry-propagate round of
   :class:`~repro.core.sparse.SparseSuperaccumulator`.
@@ -98,38 +106,68 @@ DEPOSIT_CHUNK = 1 << 16
 #: predicates, PRAM leaves, small shuffle blocks).
 BINNED_FOLD_THRESHOLD = 2048
 
-_EXP_MASK = np.int64(0x7FF)
-_MANT_MASK = np.int64((1 << 52) - 1)
-_HIDDEN_BIT = np.int64(1 << 52)
+#: Sign|exponent keys: the top 12 bits of a float64. Key ``k < 2048``
+#: is the positive half of bin ``k``, key ``k + 2048`` its negative
+#: half; keys 2047 and 4095 are the +/- inf/NaN patterns.
+_KEYS = 4096
+_NEG = 2048
+_KEY_SHIFT = np.uint64(52)
 _LOW32_MASK = np.int64((1 << 32) - 1)
+_HIGH20_MASK = np.int64((1 << 20) - 1)
+_HIDDEN_HI = np.int64(1 << 20)
+_EXP_FIELD = np.int64(0x7FF << 52)
+
+
+def _nonfinite_error(bits: np.ndarray, base: int) -> NonFiniteInputError:
+    """The typed error for the first inf/NaN in ``bits``.
+
+    ``base`` is the index of ``bits[0]`` in the caller's input, so the
+    message names the same position a finiteness pre-check would.
+    """
+    bad = int(np.flatnonzero((bits & _EXP_FIELD) == _EXP_FIELD)[0])
+    value = bits[bad : bad + 1].view(np.float64)[0]
+    return NonFiniteInputError(
+        f"input contains a non-finite value at index {base + bad}: {value!r}"
+    )
 
 
 def _deposit_chunk(
-    bits: np.ndarray, bins_lo: np.ndarray, bins_hi: np.ndarray
+    bits: np.ndarray, bins_lo: np.ndarray, bins_hi: np.ndarray, base: int
 ) -> None:
     """Scatter-add one chunk of float64 bit patterns into the bins.
+
+    Branch-free: the 12-bit sign|exponent field is the ``bincount``
+    key, so both halves are deposited unsigned and the sign is applied
+    once per bin (``pos - neg``), not once per element. The high half
+    always carries the hidden bit; keys 0 and 2048 (zeros and
+    subnormals, which have none) give it back from their element count
+    and then fold into bin 1, whose scale they share.
 
     Rejects non-finite values *before* touching the bins, so a raising
     call leaves them unchanged (earlier chunks of the same fold may
     already be deposited; callers discard the partial on error).
+    ``base`` is the input index of ``bits[0]``, for the error message.
     """
-    eb = (bits >> np.int64(52)) & _EXP_MASK
-    nonfinite = eb == _EXP_MASK
-    if nonfinite.any():
-        bad = int(np.flatnonzero(nonfinite)[0])
-        value = float(bits.view(np.float64)[bad])
-        raise NonFiniteInputError(
-            f"input contains a non-finite value at chunk offset {bad}: {value!r}"
-        )
-    m = (bits & _MANT_MASK) | np.where(eb != 0, _HIDDEN_BIT, np.int64(0))
-    sign = np.where(bits < 0, -1.0, 1.0)
-    b = np.maximum(eb, np.int64(1))
-    lo = (m & _LOW32_MASK).astype(np.float64) * sign
-    hi = (m >> np.int64(32)).astype(np.float64) * sign
-    # Float64 bincount weights are exact here: per-bin chunk sums stay
-    # below 2**53 by the DEPOSIT_CHUNK bound, so the astype is lossless.
-    bins_lo += np.bincount(b, weights=lo, minlength=BIN_COUNT).astype(np.int64)
-    bins_hi += np.bincount(b, weights=hi, minlength=BIN_COUNT).astype(np.int64)
+    # The same key as (bits >> 52) & 0xFFF, in one logical shift.
+    key = (bits.view(np.uint64) >> _KEY_SHIFT).view(np.int64)
+    lo = (bits & _LOW32_MASK).astype(np.float64)
+    hi = ((bits >> np.int64(32)) & _HIGH20_MASK | _HIDDEN_HI).astype(np.float64)
+    # Float64 bincount weights are exact here: per-key chunk sums stay
+    # below 2**48 (low) and 2**37 (high) by the DEPOSIT_CHUNK bound.
+    lo_keys = np.bincount(key, weights=lo, minlength=_KEYS)
+    hi_keys = np.bincount(key, weights=hi, minlength=_KEYS)
+    # Every element adds at least the hidden bit to its high key, so a
+    # key is occupied exactly when its high sum is non-zero.
+    if hi_keys[_NEG - 1] or hi_keys[_KEYS - 1]:
+        raise _nonfinite_error(bits, base)
+    for k in (0, _NEG):
+        if hi_keys[k]:
+            hi_keys[k] -= np.count_nonzero(key == k) * float(_HIDDEN_HI)
+            lo_keys[k + 1] += lo_keys[k]
+            hi_keys[k + 1] += hi_keys[k]
+    pos, neg = slice(1, _NEG - 1), slice(_NEG + 1, _KEYS - 1)
+    bins_lo[1:] += (lo_keys[pos] - lo_keys[neg]).astype(np.int64)
+    bins_hi[1:] += (hi_keys[pos] - hi_keys[neg]).astype(np.int64)
 
 
 class BinnedPartial:
@@ -187,22 +225,28 @@ class BinnedPartial:
         for start in range(0, bits.size, DEPOSIT_CHUNK):
             if self.chunks >= RESOLVE_CHUNKS:
                 self.resolve()
-            _deposit_chunk(bits[start : start + DEPOSIT_CHUNK], bins_lo, bins_hi)
+            _deposit_chunk(
+                bits[start : start + DEPOSIT_CHUNK], bins_lo, bins_hi, start
+            )
             self.chunks += 1
 
     def _bins_to_sparse(self) -> Optional[SparseSuperaccumulator]:
-        """Current bin contents as a sparse accumulator (None if empty)."""
+        """Current bin contents as a sparse accumulator (None if empty).
+
+        A high-half unit of bin ``b`` is a low-half unit of bin
+        ``b + 32``, so both halves resolve as one int64 array of
+        ``BIN_COUNT + 32`` scaled integers. It stays inside int64: the
+        codec's bin bounds give ``|v| <= 2**62 + 2**51``.
+        """
         if self.bins_lo is None or self.bins_hi is None:
             return None
-        nz_lo = np.flatnonzero(self.bins_lo)
-        nz_hi = np.flatnonzero(self.bins_hi)
-        if nz_lo.size == 0 and nz_hi.size == 0:
+        merged = np.zeros(BIN_COUNT + 32, dtype=np.int64)
+        merged[:BIN_COUNT] = self.bins_lo
+        merged[32:] += self.bins_hi
+        nz = np.flatnonzero(merged)
+        if nz.size == 0:
             return None
-        values = np.concatenate([self.bins_lo[nz_lo], self.bins_hi[nz_hi]])
-        exponents = np.concatenate(
-            [nz_lo + BIN_EXP_OFFSET, nz_hi + (BIN_EXP_OFFSET + 32)]
-        )
-        idx, dig = split_scaled_ints_vec(values, exponents, self.radix)
+        idx, dig = split_scaled_ints_vec(merged[nz], nz + BIN_EXP_OFFSET, self.radix)
         return SparseSuperaccumulator.from_digit_pairs(idx, dig, self.radix)
 
     def resolve(self) -> None:
@@ -276,7 +320,7 @@ class BinnedKernel(SumKernel):
     """Vectorized exponent-bin kernel (exact; Neal-style deferred carry).
 
     Partial type: :class:`BinnedPartial`. The fold is the fastest pure
-    numpy exact path in the package (~9x the sparse bulk fold at
+    numpy exact path in the package (~20x the sparse bulk fold at
     ``n = 2**22`` on the reference host — see ``BENCH_native.json``)
     and the default of ``exact_sum``, ``repro.reduce`` and
     ``parallel_sum``; merges stay carry-free, so the kernel serves

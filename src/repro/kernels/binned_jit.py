@@ -28,7 +28,6 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.errors import NonFiniteInputError
 from repro.kernels.base import register_kernel
 from repro.kernels.binned import (
     BIN_COUNT,
@@ -36,9 +35,9 @@ from repro.kernels.binned import (
     RESOLVE_CHUNKS,
     BinnedKernel,
     BinnedPartial,
+    _nonfinite_error,
 )
 from repro.util.capabilities import has_numba, load_numba
-from repro.util.validation import check_finite_array
 
 __all__ = ["BinnedJitKernel"]
 
@@ -159,10 +158,7 @@ class BinnedJitKernel(BinnedKernel):
                 # The jitted loop skips non-finite elements (counting
                 # them) so the bins hold only finite deposits; locate
                 # the first offender for the diagnostic and discard.
-                check_finite_array(arr[start : start + DEPOSIT_CHUNK])
-                raise NonFiniteInputError(
-                    "input contains a non-finite value"
-                )  # pragma: no cover - check_finite_array raises first
+                raise _nonfinite_error(chunk, start)
             part.chunks += 1
 
 

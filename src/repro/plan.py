@@ -67,12 +67,12 @@ SMALL_INPUT_ITEMS = 1 << 16
 #: optional-deps job covers it); ``running`` and ``truncated`` are
 #: unbenched estimates kept below the measured folds they wrap.
 KERNEL_RATES: Dict[str, float] = {
-    "binned_jit": 47.0,
-    "binned": 46.2,
-    "adaptive": 29.6,
-    "dense": 5.4,
-    "small": 5.3,
-    "sparse": 4.8,
+    "binned_jit": 95.0,
+    "binned": 94.4,
+    "adaptive": 24.8,
+    "small": 4.9,
+    "dense": 4.7,
+    "sparse": 4.4,
     "running": 2.7,
     "truncated": 1.8,
 }

@@ -159,6 +159,93 @@ class TestWal:
             assert truncated is True
             assert len(records) == 1 and records[0].seq == 0
 
+    def test_torn_tail_repair_lets_a_restarted_node_append(self, tmp_path):
+        """Append 2, cut 5 bytes, replay, append 1, replay.
+
+        Unless recovery cuts the torn bytes off, the new record lands
+        behind them and the second replay fails with a CRC mismatch.
+        The torn record was never acknowledged, so the complete records
+        are the first one and the one appended after recovery.
+        """
+        path = tmp_path / "node.wal"
+        wal = WriteAheadLog(path)
+        wal.append(0, "s", np.array([1.0, 2.0]))
+        wal.append(1, "s", np.array([3.0]))
+        path.write_bytes(path.read_bytes()[:-5])
+        records, truncated = read_wal(path, repair=True)
+        assert truncated is True and [r.seq for r in records] == [0]
+        wal.append(2, "s", np.array([4.0]))
+        records, truncated = read_wal(path)
+        assert truncated is False
+        assert [r.seq for r in records] == [0, 2]
+
+    def test_retried_record_after_torn_append_reads_back_all_three(self, tmp_path):
+        path = tmp_path / "node.wal"
+        wal = WriteAheadLog(path)
+        wal.append(0, "s", np.array([1.0, 2.0]))
+        wal.append(1, "s", np.array([3.0]))
+        third = codec.encode_wal_record(2, "s", np.array([4.0, 5.0]))
+        with open(path, "ab") as fh:  # crash 5 bytes short of the end
+            fh.write(third[:-5])
+        records, truncated = read_wal(path, repair=True)
+        assert truncated is True and len(records) == 2
+        wal.append_blob(third)  # the unacknowledged batch, retried
+        records, truncated = read_wal(path)
+        assert truncated is False
+        assert [r.seq for r in records] == [0, 1, 2]
+        assert records[2].values.tolist() == [4.0, 5.0]
+
+    def test_plain_read_leaves_a_torn_tail_in_place(self, tmp_path):
+        path = tmp_path / "node.wal"
+        WriteAheadLog(path).append(0, "s", np.array([1.0]))
+        torn = path.read_bytes()[:-3]
+        path.write_bytes(torn)
+        assert read_wal(path) == ([], True)
+        assert path.read_bytes() == torn
+
+    @pytest.mark.parametrize("fail_at", ["write", "fsync"])
+    def test_failed_append_rolls_back_to_the_prior_size(
+        self, tmp_path, monkeypatch, fail_at
+    ):
+        import errno
+        import os
+
+        import repro.cluster.wal as wal_mod
+
+        path = tmp_path / "node.wal"
+        wal = WriteAheadLog(path)
+        wal.append(0, "s", np.array([1.0, 2.0]))
+        before = path.read_bytes()
+        real_write, real_fsync = os.write, os.fsync
+
+        def short_write(fd, data):
+            real_write(fd, bytes(data)[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        with monkeypatch.context() as m:
+            if fail_at == "write":
+                m.setattr(wal_mod.os, "write", short_write)
+            else:
+                # only the append's own fsync fails, not the rollback's
+                calls = []
+
+                def fsync_once(fd):
+                    calls.append(fd)
+                    if len(calls) == 1:
+                        failing_fsync(fd)
+                    real_fsync(fd)
+
+                m.setattr(wal_mod.os, "fsync", fsync_once)
+            with pytest.raises(OSError):
+                wal.append(1, "s", np.array([3.0]))
+        assert path.read_bytes() == before
+        wal.append(2, "s", np.array([4.0]))
+        records, truncated = read_wal(path)
+        assert truncated is False and [r.seq for r in records] == [0, 2]
+
     def test_midfile_corruption_raises(self, tmp_path):
         path = tmp_path / "node.wal"
         wal = WriteAheadLog(path)
@@ -254,6 +341,32 @@ class TestWalService:
         assert count == data.size
         # seq high-water marks survive recovery (dedup stays correct)
         assert info["applied"]["s"] == len(_batches(data)) - 1
+
+    def test_restart_after_torn_append_keeps_ingesting(self, tmp_path):
+        """Crash mid-append, restart, ingest, restart: nothing is lost."""
+        path = tmp_path / "n0.wal"
+        data = _panel(600, seed=9)
+        first, second, third = np.array_split(data, 3)
+
+        async def session(batches):
+            node = ClusterNode("n0", wal_path=path)
+            async with node:  # start() replays (and repairs) the WAL
+                client = InProcessClient(node.service)
+                for seq, batch in batches:
+                    await client.request(
+                        "add_array", stream="s",
+                        values=[float(v) for v in batch], seq=seq,
+                    )
+                resp = await client.request("value", stream="s")
+            return float(resp["value"]), int(resp["count"])
+
+        asyncio.run(session([(0, first), (1, second)]))
+        path.write_bytes(path.read_bytes()[:-5])  # crash inside seq 1
+        # the client never saw seq 1 acknowledged, so it retries it
+        asyncio.run(session([(1, second), (2, third)]))
+        value, count = asyncio.run(session([]))
+        assert same_float(value, exact_sum(data))
+        assert count == data.size
 
     def test_restore_with_seq_sets_highwater(self, tmp_path):
         async def run():

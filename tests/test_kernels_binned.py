@@ -299,6 +299,86 @@ def test_mixed_sign_bin_cancellation_is_exact(kernel):
 
 
 # ---------------------------------------------------------------------------
+# the sign-keyed deposit: bit-pattern edges and non-finite rejection
+
+
+_SUB_MAX = float(np.nextafter(2.0**-1022, 0.0))  # largest subnormal
+_FINITE_EDGES = [
+    0.0, 5e-324, _SUB_MAX, 2.0**-1022, float(np.finfo(np.float64).max)
+]
+DEPOSIT_EDGES = {repr(x): np.array([x]) for v in _FINITE_EDGES for x in (v, -v)}
+DEPOSIT_EDGES["all-edges"] = np.array([x for v in _FINITE_EDGES for x in (v, -v)])
+DEPOSIT_EDGES["lopsided-exponent-0"] = np.concatenate(
+    [np.full(1000, -_SUB_MAX), np.full(7, 5e-324), [0.0, -0.0, 2.0**-1022]]
+)
+
+
+@pytest.mark.parametrize("case", list(DEPOSIT_EDGES))
+def test_deposit_edge_panel_matches_fraction(case):
+    """Signed zeros, subnormals (keys 0 and 2048: no hidden bit), the
+    subnormal/normal seam and the top finite bin, deposited as given
+    and repeated to a full chunk."""
+    for arr in (DEPOSIT_EDGES[case], np.resize(DEPOSIT_EDGES[case], DEPOSIT_CHUNK)):
+        part = BinnedPartial(DEFAULT_RADIX)
+        part.deposit(arr)
+        assert part.bins_lo[0] == 0 and part.bins_hi[0] == 0
+        assert part.to_fraction() == _ref(arr)
+
+
+@pytest.mark.parametrize(
+    "x", [-float(np.nextafter(2.0, 1.0)), -_SUB_MAX], ids=["normal", "subnormal"]
+)
+def test_full_chunk_of_negative_all_ones_mantissas(x):
+    """The per-chunk bound on the negative side of one key."""
+    arr = np.full(DEPOSIT_CHUNK, x)
+    part = BinnedPartial(DEFAULT_RADIX)
+    part.deposit(arr)
+    assert part.chunks == 1
+    assert int(part.bins_lo.min()) == -DEPOSIT_CHUNK * (2**32 - 1)
+    assert np.count_nonzero(part.bins_lo) == 1
+    assert part.to_fraction() == Fraction(x) * DEPOSIT_CHUNK
+    assert part.to_float() == exact_sum(arr, method="sparse")
+
+
+_SIGNED_NAN = float(np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)[0])
+_NONFINITE = {"+inf": np.inf, "-inf": -np.inf, "+nan": np.nan, "-nan": _SIGNED_NAN}
+_BAD_AT = {
+    "first": 0,
+    "chunk-end": DEPOSIT_CHUNK - 1,
+    "later-chunk": 2 * DEPOSIT_CHUNK + 17,
+}
+
+
+@pytest.mark.parametrize("where", list(_BAD_AT))
+@pytest.mark.parametrize("bad", list(_NONFINITE))
+def test_nonfinite_deposit_names_the_index_and_spares_the_bins(kernel, bad, where):
+    import repro.kernels.binned as binned_mod
+
+    at = _BAD_AT[where]
+    rng = np.random.default_rng(at)
+    arr = (rng.random(3 * DEPOSIT_CHUNK) - 0.5) * 2.0 ** rng.integers(-60, 60, 3 * DEPOSIT_CHUNK)
+    arr[at] = _NONFINITE[bad]
+    assert np.signbit(arr[at]) == bad.startswith("-")
+    message = f"at index {at}: "
+    with pytest.raises(NonFiniteInputError, match=message):
+        kernel.fold(arr)
+    with pytest.raises(NonFiniteInputError, match=message):
+        exact_sum(arr)
+    # The offending chunk raises before it touches the bins: what the
+    # partial holds is exactly the chunks before it.
+    part = BinnedPartial(DEFAULT_RADIX)
+    with pytest.raises(NonFiniteInputError, match=message):
+        part.deposit(arr)
+    done = at // DEPOSIT_CHUNK * DEPOSIT_CHUNK
+    assert part.to_fraction() == _ref(arr[:done])
+    lo, hi = part.bins_lo.copy(), part.bins_hi.copy()
+    chunk = arr[done : done + DEPOSIT_CHUNK].view(np.int64)
+    with pytest.raises(NonFiniteInputError, match=message):
+        binned_mod._deposit_chunk(chunk, part.bins_lo, part.bins_hi, done)
+    assert (part.bins_lo == lo).all() and (part.bins_hi == hi).all()
+
+
+# ---------------------------------------------------------------------------
 # the scaled-int split underneath resolution
 
 
